@@ -5,25 +5,17 @@ import (
 	"time"
 )
 
-// LiveRuntime runs nodes as goroutines with real timers and in-process
-// channel transport — the deployment mode behind the public xft
-// package, the examples and the cmd/ tools. The same protocol code
-// that runs under the discrete-event simulator runs here unchanged.
+// LiveRuntime runs nodes on Loops linked in-process: each node is a
+// goroutine with real timers, and Send is a direct inbox hand-off. It
+// is the deployment mode behind the public xft package. The same
+// protocol code that runs under the discrete-event simulator runs here
+// unchanged.
 type LiveRuntime struct {
 	mu      sync.Mutex
 	nodes   map[NodeID]*liveNode
 	start   time.Time
-	wg      sync.WaitGroup
 	started bool
 	stopped bool
-
-	// deferWg tracks goroutines spawned through Defer, separately from
-	// the node run loops in wg: Defer runs on a node goroutine, so its
-	// Add can race a Stop already blocked in wg.Wait — the WaitGroup
-	// reuse rule forbids that on a single group. Stop waits for the run
-	// loops first; once they exit no new Defer can start, and waiting
-	// on deferWg is race-free.
-	deferWg sync.WaitGroup
 }
 
 // NewLiveRuntime returns an empty runtime; add nodes, then Start.
@@ -31,27 +23,16 @@ func NewLiveRuntime() *LiveRuntime {
 	return &LiveRuntime{nodes: make(map[NodeID]*liveNode), start: time.Now()}
 }
 
-// inboxSize bounds each node's event queue; overflow drops messages,
-// which the protocols tolerate (they are built for lossy networks).
-const inboxSize = 4096
-
+// liveNode is a Loop on the in-process link.
 type liveNode struct {
-	rt    *LiveRuntime
-	id    NodeID
-	node  Node
-	inbox chan Event
-	stop  chan struct{}
-
-	// timers is owned by the node goroutine: Set/Cancel run from Step,
-	// Deliver from the run loop.
-	timers *TimerSet
+	*Loop
+	rt *LiveRuntime
 }
 
 // AddNode registers a node. Nodes added after Start are initialized
 // and launched immediately (used to attach clients to a running
-// cluster). Adding a node to a stopped runtime panics: the stop
-// channels are closed, so the node's goroutine would exit instantly
-// and every Submit would be silently lost.
+// cluster). Adding a node to a stopped runtime panics: its loop could
+// never run, and every Submit would be silently lost.
 func (rt *LiveRuntime) AddNode(id NodeID, node Node) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -61,23 +42,18 @@ func (rt *LiveRuntime) AddNode(id NodeID, node Node) {
 	if _, dup := rt.nodes[id]; dup {
 		panic("smr: duplicate live node")
 	}
-	ln := &liveNode{
-		rt: rt, id: id, node: node,
-		inbox:  make(chan Event, inboxSize),
-		stop:   make(chan struct{}),
-		timers: NewTimerSet(),
-	}
+	ln := &liveNode{Loop: NewLoop(id, node), rt: rt}
+	ln.start = rt.start
 	rt.nodes[id] = ln
 	if rt.started {
 		node.Init(ln)
-		rt.wg.Add(1)
-		go ln.run(&rt.wg)
+		ln.spawn()
 	}
 }
 
-// Start initializes every node and launches its event loop. A runtime
-// is single-use: Start after Stop panics rather than silently running
-// nodes whose stop channels are already closed.
+// Start initializes every node and launches its loop. A runtime is
+// single-use: Start after Stop panics rather than silently running
+// nothing.
 func (rt *LiveRuntime) Start() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -90,145 +66,52 @@ func (rt *LiveRuntime) Start() {
 	rt.started = true
 	rt.start = time.Now()
 	for _, ln := range rt.nodes {
+		ln.start = rt.start
 		ln.node.Init(ln)
 	}
 	for _, ln := range rt.nodes {
-		rt.wg.Add(1)
-		go ln.run(&rt.wg)
+		ln.spawn()
 	}
 }
 
-// Stop terminates all node goroutines, waits for them, then waits for
-// any deferred work still completing. It is idempotent; the runtime
-// cannot be restarted afterwards (Start/AddNode fail loudly).
+// Stop stops every loop and waits for it and its deferred work. It is
+// idempotent; the runtime cannot be restarted afterwards (Start/AddNode
+// fail loudly).
 func (rt *LiveRuntime) Stop() {
 	rt.mu.Lock()
-	if rt.stopped {
-		rt.mu.Unlock()
-		rt.wg.Wait()
-		rt.deferWg.Wait()
-		return
-	}
 	rt.stopped = true
+	loops := make([]*liveNode, 0, len(rt.nodes))
 	for _, ln := range rt.nodes {
-		close(ln.stop)
+		loops = append(loops, ln)
 	}
 	rt.mu.Unlock()
-	// Run loops first: every Defer happens on a node goroutine, so once
-	// these exit the deferred set is closed and deferWg.Wait cannot
-	// race an Add.
-	rt.wg.Wait()
-	rt.deferWg.Wait()
+	for _, ln := range loops {
+		ln.Stop()
+	}
 }
 
 // Submit injects an event (typically Invoke) into a node's loop,
-// dropping it if the inbox is full — the right behavior for
-// network-like traffic the protocols already tolerate losing.
+// waiting for inbox room or the node's stop. Unknown ids are ignored.
+// Drivers need the wait: an open-loop client that silently loses an
+// Invoke undercounts its window forever, unlike lost network traffic
+// which retransmission recovers.
 func (rt *LiveRuntime) Submit(id NodeID, ev Event) {
+	if ln := rt.node(id); ln != nil {
+		ln.Submit(ev)
+	}
+}
+
+func (rt *LiveRuntime) node(id NodeID) *liveNode {
 	rt.mu.Lock()
-	ln := rt.nodes[id]
-	rt.mu.Unlock()
-	if ln == nil {
-		return
-	}
-	select {
-	case ln.inbox <- ev:
-	default:
-	}
+	defer rt.mu.Unlock()
+	return rt.nodes[id]
 }
 
-// SubmitWait injects an event, blocking until the node's inbox has
-// room or the node stops. Drivers submitting their own Invokes use
-// this: an open-loop client that silently loses an Invoke undercounts
-// its window forever, unlike lost network traffic which retransmission
-// recovers.
-func (rt *LiveRuntime) SubmitWait(id NodeID, ev Event) {
-	rt.mu.Lock()
-	ln := rt.nodes[id]
-	rt.mu.Unlock()
-	if ln == nil {
-		return
-	}
-	select {
-	case ln.inbox <- ev:
-	case <-ln.stop:
-	}
-}
-
-func (ln *liveNode) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	ln.node.Step(Start{})
-	for {
-		select {
-		case <-ln.stop:
-			return
-		case ev := <-ln.inbox:
-			if tf, ok := ev.(TimerFired); ok && !ln.timers.Deliver(tf) {
-				continue
-			}
-			ln.node.Step(ev)
-		}
-	}
-}
-
-// ID implements Env.
-func (ln *liveNode) ID() NodeID { return ln.id }
-
-// Now implements Env.
-func (ln *liveNode) Now() time.Duration { return time.Since(ln.rt.start) }
-
-// Send implements Env: direct channel delivery, dropping on overflow.
+// Send implements Env: direct inbox delivery, dropping on overflow.
 func (ln *liveNode) Send(to NodeID, m Message) {
-	ln.rt.mu.Lock()
-	dst := ln.rt.nodes[to]
-	ln.rt.mu.Unlock()
-	if dst == nil {
-		return
+	if dst := ln.rt.node(to); dst != nil {
+		dst.offer(Recv{From: ln.id, Msg: m})
 	}
-	select {
-	case dst.inbox <- Recv{From: ln.id, Msg: m}:
-	default:
-	}
-}
-
-// SetTimer implements Env. Unlike messages, TimerFired events are
-// never dropped on a full inbox: the firing goroutine waits for space
-// (or shutdown). Dropping would strand the timer's bookkeeping
-// forever, since only delivery clears it.
-func (ln *liveNode) SetTimer(d time.Duration, kind string) TimerID {
-	return ln.timers.Set(d, kind, func(tf TimerFired) {
-		select {
-		case ln.inbox <- tf:
-		case <-ln.stop:
-		}
-	})
-}
-
-// CancelTimer implements Env.
-func (ln *liveNode) CancelTimer(id TimerID) { ln.timers.Cancel(id) }
-
-// Defer implements Env: work runs on its own goroutine — typically
-// fanning out further through a crypto worker pool — and the completion
-// re-enters the node's loop as an Async event. Like TimerFired events,
-// completions are never dropped on a full inbox: protocol state
-// machines track in-flight deferred work, and a silently lost
-// completion would strand that bookkeeping forever. The send blocks
-// until the inbox drains or the node stops.
-//
-// Jobs of different kinds run concurrently with no ordering guarantee;
-// callers needing FIFO (the replica's durable WAL writer, which must
-// append records in commit order) keep one job in flight and dispatch
-// the next from the previous apply.
-func (ln *liveNode) Defer(kind string, work func(), apply func()) {
-	ln.rt.deferWg.Add(1)
-	go func() {
-		defer ln.rt.deferWg.Done()
-		work()
-		select {
-		case ln.inbox <- Async{Kind: kind, Apply: apply}:
-		case <-ln.stop:
-		}
-	}()
 }
 
 var _ Env = (*liveNode)(nil)

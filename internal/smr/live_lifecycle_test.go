@@ -1,10 +1,12 @@
-package smr
+package smr_test
 
 import (
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/xft-consensus/xft/internal/smr"
 )
 
 // deferChainNode keeps a fixed number of Defer chains alive: every
@@ -12,18 +14,18 @@ import (
 // window in which a Defer's wg.Add can race a concurrent Stop — the
 // regression behind the deferWg split.
 type deferChainNode struct {
-	env     Env
+	env     smr.Env
 	applied atomic.Int64
 }
 
-func (n *deferChainNode) Init(env Env) { n.env = env }
-func (n *deferChainNode) Step(ev Event) {
+func (n *deferChainNode) Init(env smr.Env) { n.env = env }
+func (n *deferChainNode) Step(ev smr.Event) {
 	switch e := ev.(type) {
-	case Start:
+	case smr.Start:
 		for i := 0; i < 4; i++ {
 			n.spawn()
 		}
-	case Async:
+	case smr.Async:
 		e.Apply()
 	}
 }
@@ -46,11 +48,11 @@ func TestLiveDeferStopStress(t *testing.T) {
 		iters = 10
 	}
 	for i := 0; i < iters; i++ {
-		rt := NewLiveRuntime()
+		rt := smr.NewLiveRuntime()
 		nodes := make([]*deferChainNode, 3)
 		for j := range nodes {
 			nodes[j] = &deferChainNode{}
-			rt.AddNode(NodeID(j), nodes[j])
+			rt.AddNode(smr.NodeID(j), nodes[j])
 		}
 		rt.Start()
 		// Let the chains spin briefly so Stop lands mid-flight.
@@ -77,7 +79,7 @@ func TestLiveDeferStopStress(t *testing.T) {
 // Stop used to close every node's stop channel unconditionally, so a
 // second Stop panicked on a closed channel.
 func TestLiveStopIdempotent(t *testing.T) {
-	rt := NewLiveRuntime()
+	rt := smr.NewLiveRuntime()
 	rt.AddNode(0, &deferChainNode{})
 	rt.Start()
 	rt.Stop()
@@ -87,7 +89,7 @@ func TestLiveStopIdempotent(t *testing.T) {
 // TestLiveStopWithoutStart: stopping a never-started runtime must not
 // hang or panic (no goroutines to wait for).
 func TestLiveStopWithoutStart(t *testing.T) {
-	rt := NewLiveRuntime()
+	rt := smr.NewLiveRuntime()
 	rt.AddNode(0, &deferChainNode{})
 	rt.Stop()
 	rt.Stop()
@@ -97,7 +99,7 @@ func TestLiveStopWithoutStart(t *testing.T) {
 // runtime used to be silent no-ops that leaked goroutines into dead
 // stop channels; now they panic.
 func TestLivePostStopUseFailsLoudly(t *testing.T) {
-	rt := NewLiveRuntime()
+	rt := smr.NewLiveRuntime()
 	rt.AddNode(0, &deferChainNode{})
 	rt.Start()
 	rt.Stop()
@@ -105,10 +107,11 @@ func TestLivePostStopUseFailsLoudly(t *testing.T) {
 	mustPanic(t, "Start after Stop", func() { rt.Start() })
 	mustPanic(t, "AddNode after Stop", func() { rt.AddNode(1, &deferChainNode{}) })
 
-	// Submit paths must stay safe (no panic, no hang) for callers that
-	// race shutdown.
-	rt.Submit(0, Invoke{})
-	rt.SubmitWait(0, Invoke{})
+	// Submit must stay safe (no panic, no hang) for callers that race
+	// shutdown, even once the dead loop's inbox is full.
+	for i := 0; i <= smr.InboxSize; i++ {
+		rt.Submit(0, smr.Invoke{})
+	}
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {

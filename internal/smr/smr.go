@@ -5,12 +5,14 @@
 // Protocols are written as deterministic event-driven state machines:
 // a Node receives events (messages, timer expirations) through Step
 // and reacts by calling methods on its Env (send messages, set
-// timers). The same protocol code then runs under two runtimes:
+// timers). The same protocol code then runs unchanged in two places:
 //
 //   - the discrete-event WAN simulator (internal/netsim), used for all
 //     paper experiments and most tests, and
-//   - the live runtime (internal/smr/live.go), where each node is a
-//     goroutine with real timers, used by the examples and cmd/ tools.
+//   - the live event loop (Loop, loop.go), where each node is a
+//     goroutine with real timers. A link embeds the Loop and adds Send:
+//     LiveRuntime links nodes in-process (the public xft API and the
+//     examples), transport.Node links them over TCP (the cmd/ tools).
 package smr
 
 import (
@@ -102,8 +104,8 @@ type TimerFired struct {
 type Start struct{}
 
 // Invoke asks a client node to submit an operation. Runtimes deliver
-// it on behalf of external callers (e.g. the live runtime's
-// thread-safe submit path); under the simulator, benchmark drivers
+// it on behalf of external callers (e.g. the live loop's thread-safe
+// Submit); under the simulator, benchmark drivers
 // call the client's Invoke method directly from event context instead.
 type Invoke struct{ Op []byte }
 
@@ -157,7 +159,7 @@ type Env interface {
 	// ID returns this node's ID.
 	ID() NodeID
 	// Now returns elapsed time since the run began (virtual under the
-	// simulator, wall-clock under the live runtime).
+	// simulator, wall-clock under the live loop).
 	Now() time.Duration
 	// Send transmits m to the given node. Delivery is asynchronous and,
 	// under injected faults, may be delayed or dropped entirely.

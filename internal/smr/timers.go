@@ -2,15 +2,15 @@ package smr
 
 import "time"
 
-// TimerSet implements the Env timer contract shared by the runtimes
-// (the live goroutine runtime and the TCP transport): AfterFunc-backed
-// timers with tombstones for timers cancelled between firing and
-// delivery. Both maps stay bounded by the number of in-flight timers —
-// the bug class this type exists to fix once is CancelTimer on an
-// already-delivered timer leaving a permanent tombstone.
+// TimerSet implements the Env timer contract of the live Loop, which
+// both live links share: AfterFunc-backed timers with tombstones for
+// timers cancelled between firing and delivery. Both maps stay bounded
+// by the number of in-flight timers — the bug class this type exists
+// to fix once is CancelTimer on an already-delivered timer leaving a
+// permanent tombstone.
 //
-// A TimerSet is confined to its owning node goroutine: Set and Cancel
-// are called from Step, Deliver from the event loop. Only the deliver
+// A TimerSet is confined to its owning loop goroutine: Set and Cancel
+// are called from Step, Deliver from the loop itself. Only the deliver
 // callback runs elsewhere (the timer goroutine); it must hand the
 // event to the node's inbox and must not drop it, since only delivery
 // clears the bookkeeping.

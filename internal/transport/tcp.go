@@ -1,5 +1,7 @@
-// Package transport runs a single protocol node over real TCP — the
-// deployment mode behind cmd/xft-server and cmd/xft-client. Messages
+// Package transport is the live loop's TCP link, the deployment mode
+// behind cmd/xft-server and cmd/xft-client. A Node runs one protocol
+// node on an smr.Loop, the event loop smr.LiveRuntime's in-process
+// link uses too, and adds only the network side. Messages
 // travel as length-prefixed frames (frame.go) whose payload is a fixed
 // header (sender id) followed by a wire codec's tag+body encoding —
 // no gob, no type descriptors, no reflection on the hot path. The
@@ -24,7 +26,7 @@
 //   - WithKeepalive runs ping/pong probes (frame.go control frames)
 //     over each replica peer's connection, tracking per-peer RTT and
 //     last-seen, and delivers smr.PeerDown / smr.PeerUp transitions
-//     into the node's inbox — so a protocol can suspect a silent peer
+//     into the node's loop — so a protocol can suspect a silent peer
 //     at probe-timeout granularity instead of waiting for a
 //     retransmission timeout.
 package transport
@@ -117,8 +119,8 @@ func WithTLS(t *TLS) Option {
 // interval the node pings each replica peer over its outbound
 // connection (dialing it if necessary) and tracks the pong's RTT and
 // arrival time. A peer silent for longer than timeout is reported to
-// the hosted protocol node as an smr.PeerDown event through the
-// inbox; a pong after that reports smr.PeerUp. A zero timeout
+// the hosted protocol node as an smr.PeerDown event through its
+// loop; a pong after that reports smr.PeerUp. A zero timeout
 // defaults to 3x the interval.
 func WithKeepalive(interval, timeout time.Duration) Option {
 	return func(nd *Node) {
@@ -133,19 +135,18 @@ func WithKeepalive(interval, timeout time.Duration) Option {
 	}
 }
 
-// Node hosts one protocol node on a TCP endpoint.
+// Node hosts one protocol node on a TCP endpoint. The embedded Loop
+// supplies the event loop and every smr.Env method except Send.
 type Node struct {
-	id    smr.NodeID
+	*smr.Loop
 	node  smr.Node
 	peers map[smr.NodeID]string
 
-	inbox  chan smr.Event
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	stopOnce sync.Once
 	ln       net.Listener
-	start    time.Time
 
 	queueCap    int
 	dialTimeout time.Duration
@@ -162,10 +163,6 @@ type Node struct {
 	stopped bool
 	conns   map[smr.NodeID]*peerConn
 	inbound map[net.Conn]struct{}
-
-	// timers is owned by the node goroutine: Set/Cancel run from Step,
-	// Deliver from the Run loop.
-	timers *smr.TimerSet
 
 	wg sync.WaitGroup
 }
@@ -299,8 +296,7 @@ func NewNode(id smr.NodeID, node smr.Node, listenAddr string, peers map[smr.Node
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
-		id: id, node: node, peers: peers, ln: ln,
-		inbox:       make(chan smr.Event, 4096),
+		Loop: smr.NewLoop(id, node), node: node, peers: peers, ln: ln,
 		ctx:         ctx,
 		cancel:      cancel,
 		queueCap:    DefaultSendQueueCap,
@@ -308,8 +304,6 @@ func NewNode(id smr.NodeID, node smr.Node, listenAddr string, peers map[smr.Node
 		codecName:   DefaultCodec,
 		conns:       make(map[smr.NodeID]*peerConn),
 		inbound:     make(map[net.Conn]struct{}),
-		timers:      smr.NewTimerSet(),
-		start:       time.Now(),
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -328,7 +322,8 @@ func NewNode(id smr.NodeID, node smr.Node, listenAddr string, peers map[smr.Node
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
 // Run starts the accept loop, the keepalive prober (when enabled) and
-// the node's event loop; it blocks until Stop.
+// the node's event loop; it blocks until Stop, and returns once every
+// network goroutine and deferred job has finished.
 func (n *Node) Run() {
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -337,32 +332,13 @@ func (n *Node) Run() {
 		go n.probeLoop()
 	}
 	n.node.Init(n)
-	n.node.Step(smr.Start{})
-	for {
-		select {
-		case <-n.ctx.Done():
-			n.wg.Wait()
-			return
-		case ev := <-n.inbox:
-			if tf, ok := ev.(smr.TimerFired); ok && !n.timers.Deliver(tf) {
-				continue
-			}
-			n.node.Step(ev)
-		}
-	}
+	n.Loop.Run()
+	n.wg.Wait()
 }
 
-// Submit injects an event (e.g. smr.Invoke) into the node's loop.
-func (n *Node) Submit(ev smr.Event) {
-	select {
-	case n.inbox <- ev:
-	case <-n.ctx.Done():
-	}
-}
-
-// Stop terminates the node: the listener, every inbound connection,
-// and every peer writer. It is idempotent: redundant calls (e.g. a
-// deferred Stop racing an explicit one) are no-ops.
+// Stop terminates the node — the listener, every inbound connection,
+// every peer writer and the event loop — and waits for the loop and
+// its in-flight deferred work. It is idempotent and works without Run.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		n.mu.Lock()
@@ -379,6 +355,7 @@ func (n *Node) Stop() {
 		}
 		n.mu.Unlock()
 	})
+	n.Loop.Stop()
 }
 
 // PeerStats reports each peer's current send-queue depth, its
@@ -563,9 +540,8 @@ func (n *Node) readLoop(conn net.Conn) {
 		if n.limiter != nil && !n.limiter.admit(n.Now(), smr.NodeID(from), msg) {
 			continue // shed at intake; counted in Stats.RateLimit
 		}
-		select {
-		case n.inbox <- smr.Recv{From: smr.NodeID(from), Msg: msg}:
-		case <-n.ctx.Done():
+		n.Submit(smr.Recv{From: smr.NodeID(from), Msg: msg})
+		if n.ctx.Err() != nil {
 			return
 		}
 	}
@@ -724,7 +700,7 @@ func (n *Node) writeLoop(pc *peerConn) {
 		}
 		if ok {
 			buf.Reset()
-			buf.I64(int64(n.id))
+			buf.I64(int64(n.ID()))
 			kind, inner := FrameMsg, m
 			if gm, grouped := m.(*smr.GroupMessage); grouped {
 				kind = FrameGroupMsg
@@ -796,7 +772,9 @@ func (n *Node) pongLoop(pc *peerConn, c net.Conn) {
 // traffic ever has) and turns silence past the timeout into an
 // smr.PeerDown event, recovery into smr.PeerUp. It is the sole
 // producer of health events, so the delivered transition sequence
-// always alternates and matches the health record's final state.
+// always alternates and matches the health record's final state. The
+// events go through the blocking Submit: losing a PeerDown would leave
+// the protocol blind to exactly the condition probing exists to surface.
 func (n *Node) probeLoop() {
 	defer n.wg.Done()
 	tick := time.NewTicker(n.probeInterval)
@@ -808,7 +786,7 @@ func (n *Node) probeLoop() {
 		case <-tick.C:
 		}
 		for id := range n.peers {
-			if id == n.id || id.IsClient() {
+			if id == n.ID() || id.IsClient() {
 				continue // clients come and go; only replicas are probed
 			}
 			pc := n.peer(id)
@@ -817,68 +795,14 @@ func (n *Node) probeLoop() {
 			}
 			switch verdict, d := pc.judgeHealth(n.Now(), n.probeInterval, n.probeTimeout); verdict {
 			case healthWentDown:
-				n.deliverHealth(smr.PeerDown{Peer: id, LastSeen: d})
+				n.Submit(smr.PeerDown{Peer: id, LastSeen: d})
 			case healthWentUp:
-				n.deliverHealth(smr.PeerUp{Peer: id, RTT: d})
+				n.Submit(smr.PeerUp{Peer: id, RTT: d})
 			}
 			pc.pingPending.Store(true)
 			pc.q.kick()
 		}
 	}
-}
-
-// deliverHealth injects a health event into the node's loop. Like
-// timer firings, health transitions are never dropped on a full inbox:
-// they are rare, and losing a PeerDown would leave the protocol blind
-// to exactly the condition probing exists to surface.
-func (n *Node) deliverHealth(ev smr.Event) {
-	select {
-	case n.inbox <- ev:
-	case <-n.ctx.Done():
-	}
-}
-
-// ---------------------------------------------------------------------------
-// smr.Env
-// ---------------------------------------------------------------------------
-
-// ID implements smr.Env.
-func (n *Node) ID() smr.NodeID { return n.id }
-
-// Now implements smr.Env.
-func (n *Node) Now() time.Duration { return time.Since(n.start) }
-
-// SetTimer implements smr.Env. TimerFired events are never dropped on
-// a full inbox (the firing goroutine waits for space or shutdown):
-// only delivery clears the timer's bookkeeping.
-func (n *Node) SetTimer(d time.Duration, kind string) smr.TimerID {
-	return n.timers.Set(d, kind, func(tf smr.TimerFired) {
-		select {
-		case n.inbox <- tf:
-		case <-n.ctx.Done():
-		}
-	})
-}
-
-// CancelTimer implements smr.Env.
-func (n *Node) CancelTimer(id smr.TimerID) { n.timers.Cancel(id) }
-
-// Defer implements smr.Env: work runs on its own goroutine and the
-// completion re-enters the node's loop as an smr.Async event. Like
-// timers, completions are never dropped on a full inbox — protocol
-// state machines track deferred work in flight, and losing a
-// completion would strand that bookkeeping — so the send blocks until
-// the loop drains it or the node stops.
-func (n *Node) Defer(kind string, work func(), apply func()) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		work()
-		select {
-		case n.inbox <- smr.Async{Kind: kind, Apply: apply}:
-		case <-n.ctx.Done():
-		}
-	}()
 }
 
 var _ smr.Env = (*Node)(nil)

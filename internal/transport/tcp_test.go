@@ -283,51 +283,6 @@ func TestStopReleasesGoroutines(t *testing.T) {
 		fmt.Sprintf("goroutines to return to ~%d (now %d)", before, runtime.NumGoroutine()))
 }
 
-// timerCancelNode cancels every timer right after it is delivered (a
-// no-op by contract) — the regression here is that this used to leave a
-// permanent tombstone per timer in the cancelled map.
-type timerCancelNode struct {
-	env   smr.Env
-	fired chan smr.TimerID
-}
-
-func (tn *timerCancelNode) Init(env smr.Env) { tn.env = env }
-func (tn *timerCancelNode) Step(ev smr.Event) {
-	switch ev := ev.(type) {
-	case smr.Start:
-		// A cancelled-before-firing timer must leave no state behind.
-		id := tn.env.SetTimer(time.Hour, "never")
-		tn.env.CancelTimer(id)
-		tn.env.SetTimer(time.Millisecond, "soon")
-	case smr.TimerFired:
-		tn.env.CancelTimer(ev.ID) // already delivered: must be a no-op
-		select {
-		case tn.fired <- ev.ID:
-		default:
-		}
-	}
-}
-
-func TestCancelTimerLeavesNoTombstones(t *testing.T) {
-	tn := &timerCancelNode{fired: make(chan smr.TimerID, 1)}
-	n, err := NewNode(0, tn, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { n.Run(); close(done) }()
-	select {
-	case <-tn.fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("timer never fired")
-	}
-	n.Stop()
-	<-done // Run returned: timer maps are quiescent
-	if pending, tombstones := n.timers.Sizes(); pending != 0 || tombstones != 0 {
-		t.Errorf("timer maps leaked: pending=%d tombstones=%d", pending, tombstones)
-	}
-}
-
 // TestSendDownPeerDoesNotBlock is the regression test for the old
 // synchronous DialTimeout under Send: with an unreachable peer, a burst
 // of sends must return immediately (the writer goroutine absorbs the

@@ -32,7 +32,6 @@ package xft
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -71,12 +70,6 @@ type Options struct {
 	// 0 shares a process-wide GOMAXPROCS pool, 1 verifies serially,
 	// n > 1 dedicates n workers per replica.
 	VerifyWorkers int
-	// DisableAsyncCrypto forces signature work back into each
-	// replica's event loop. By default signing and verification run
-	// asynchronously (the crypto pipeline), so consecutive batches'
-	// crypto overlaps and a slow verification cannot delay timers or
-	// view changes.
-	DisableAsyncCrypto bool
 	// EnableFD turns on the fault-detection mechanism (Section 4.4).
 	EnableFD bool
 	// Seed makes the cluster's keys deterministic (default 1).
@@ -96,7 +89,7 @@ type Cluster struct {
 	mu       sync.Mutex
 	clients  int
 	replicas []*xpaxos.Replica
-	stopped  bool
+	stop     chan struct{} // closed by Stop
 }
 
 // NewCluster builds and starts 2T+1 replicas.
@@ -114,7 +107,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 		opts.Seed = 1
 	}
 	n := 2*opts.T + 1
-	c := &Cluster{opts: opts, n: n, t: opts.T}
+	c := &Cluster{opts: opts, n: n, t: opts.T, stop: make(chan struct{})}
 	c.suite = crypto.NewEd25519Suite(n+1024, opts.Seed)
 	c.rt = smr.NewLiveRuntime()
 	for i := 0; i < n; i++ {
@@ -126,7 +119,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 			BatchSize:          opts.BatchSize,
 			PipelineWindow:     opts.PipelineWindow,
 			VerifyWorkers:      opts.VerifyWorkers,
-			DisableAsyncCrypto: opts.DisableAsyncCrypto,
 			CheckpointInterval: 256,
 			EnableFD:           opts.EnableFD,
 		}
@@ -146,12 +138,15 @@ func NewCluster(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// Stop shuts the cluster down.
+// Stop shuts the cluster down. Invokes in flight, and any made later,
+// return an error.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.stopped {
-		c.stopped = true
+	select {
+	case <-c.stop:
+	default:
+		close(c.stop)
 		c.rt.Stop()
 	}
 }
@@ -206,29 +201,32 @@ func (c *Cluster) NewClient() *Client {
 	return cl
 }
 
+// errStopped is returned by an Invoke the cluster's Stop cut short.
+var errStopped = errors.New("xft: cluster stopped")
+
 // Invoke submits op and blocks until it commits, returning the reply.
+// It returns an error once the cluster stops.
 func (cl *Client) Invoke(op []byte) ([]byte, error) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.cluster.rt.SubmitWait(cl.id, smr.Invoke{Op: op})
-	select {
-	case r := <-cl.done:
-		return r.rep, nil
-	case <-time.After(2 * time.Minute):
-		return nil, fmt.Errorf("xft: request timed out")
-	}
+	rep, _, err := cl.InvokeTimed(op)
+	return rep, err
 }
 
 // InvokeTimed is Invoke plus the commit latency.
 func (cl *Client) InvokeTimed(op []byte) ([]byte, time.Duration, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	start := time.Now()
-	cl.cluster.rt.SubmitWait(cl.id, smr.Invoke{Op: op})
+	// Checked first: after Stop a reply racing the shutdown may still sit
+	// in done, and it belongs to an earlier call.
+	select {
+	case <-cl.cluster.stop:
+		return nil, 0, errStopped
+	default:
+	}
+	cl.cluster.rt.Submit(cl.id, smr.Invoke{Op: op})
 	select {
 	case r := <-cl.done:
 		return r.rep, r.lat, nil
-	case <-time.After(2 * time.Minute):
-		return nil, time.Since(start), fmt.Errorf("xft: request timed out")
+	case <-cl.cluster.stop:
+		return nil, 0, errStopped
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
 )
@@ -98,5 +99,32 @@ func TestPublicAPIT2(t *testing.T) {
 	client := cluster.NewClient()
 	if _, err := client.Invoke(kv.PutOp("k", []byte("v"))); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPublicAPIInvokeAfterStop: an Invoke on a stopped cluster returns
+// an error at once instead of blocking on a commit that cannot come.
+func TestPublicAPIInvokeAfterStop(t *testing.T) {
+	cluster, err := NewCluster(Options{T: 1, NewApp: func() Application { return kv.NewStore() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := cluster.NewClient()
+	if _, err := client.Invoke(kv.PutOp("k", []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	cluster.Stop()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := client.Invoke(kv.GetOp("k"))
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("Invoke after Stop succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Invoke after Stop still blocked after 5 s")
 	}
 }
