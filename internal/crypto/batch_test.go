@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"crypto/ed25519"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"testing"
@@ -204,6 +205,80 @@ func TestPoolBatchRouting(t *testing.T) {
 	}
 }
 
+// smallOrderFixture is a signature by node 3 of NewEd25519Suite(8, 1)
+// over "small-order fixture" whose R carries a point T of order 8:
+// R = [r]B + T and S = r + k*a, built as internal/crypto/ed25519x's
+// small-order tests build theirs. crypto/ed25519 rejects it
+// ([S]B - [k]A = [r]B != R); the cofactored equation accepts it.
+const smallOrderFixture = "815601c6a05f03996ea2681953147fa75ca49d4b4fb5f26f5fdbe5a627b954b9" +
+	"af62f921ee7b840e79acdaca291508733b64360b7f0a261b8ab0e2a5299dd30d"
+
+// TestSmallOrderSignatureAllPaths: every verification path accepts the
+// small-order fixture, so replicas agree on it whichever path a message
+// takes — single, metered, batched, pooled, or a bisection leaf.
+func TestSmallOrderSignatureAllPaths(t *testing.T) {
+	suite := NewEd25519Suite(8, 1)
+	msg := []byte("small-order fixture")
+	sig, err := hex.DecodeString(smallOrderFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ed25519.Verify(suite.PublicKey(3), msg, sig) {
+		t.Fatal("crypto/ed25519 accepts the fixture: it exercises no small-order component")
+	}
+	if suite.Verify(2, msg, sig) || suite.Verify(3, []byte("another message"), sig) {
+		t.Fatal("fixture verified under the wrong signer or message")
+	}
+	if !suite.Verify(3, msg, sig) {
+		t.Error("Ed25519Suite.Verify rejected")
+	}
+	if !NewMeter(suite).Verify(3, msg, sig) {
+		t.Error("Meter.Verify rejected")
+	}
+	forged := VerifyJob{ID: 3, Data: msg, Sig: sig}
+	if !suite.BatchVerify([]VerifyJob{forged}) {
+		t.Error("BatchVerify of one rejected")
+	}
+	valid, _ := batchFixture(t, suite, 20)
+	mixed := append(valid, forged)
+	if !suite.BatchVerify(mixed) {
+		t.Error("BatchVerify among 20 valid signatures rejected")
+	}
+	// One corrupted neighbour fails the batch, so Verdicts and VerifyEach
+	// bisect down to the fixture as a batch of one.
+	salted := append(append([]VerifyJob(nil), mixed...), VerifyJob{ID: 1, Data: msg, Sig: corrupt(suite.Sign(1, msg))})
+	for _, workers := range []int{0, 2} { // 0 = nil pool (serial)
+		var pool *Pool
+		if workers > 0 {
+			pool = NewPool(workers)
+			defer pool.Close()
+		}
+		for _, jobs := range [][]VerifyJob{{forged}, mixed} {
+			if !pool.VerifyAll(suite, jobs) {
+				t.Errorf("workers=%d: VerifyAll of %d rejected", workers, len(jobs))
+			}
+			for i, ok := range pool.VerifyEach(suite, jobs) {
+				if !ok {
+					t.Errorf("workers=%d: VerifyEach of %d: [%d] rejected", workers, len(jobs), i)
+				}
+			}
+		}
+		verdicts := pool.VerifyEach(suite, salted)
+		if !verdicts[len(mixed)-1] || verdicts[len(mixed)] {
+			t.Errorf("workers=%d: bisected verdicts fixture=%v corrupted=%v", workers, verdicts[len(mixed)-1], verdicts[len(mixed)])
+		}
+	}
+	b := NewBatchVerifier(suite, len(salted))
+	for _, j := range salted {
+		b.Add(j.ID, j.Data, j.Sig)
+	}
+	for i, ok := range b.Verdicts() {
+		if want := i != len(mixed); ok != want {
+			t.Errorf("BatchVerifier.Verdicts[%d] = %v, want %v", i, ok, want)
+		}
+	}
+}
+
 // TestBatchVerifierPoolStress hammers the shared pool from many
 // goroutines with mixed valid/invalid batches; run under -race it
 // exercises the concurrent batch path end to end.
@@ -263,8 +338,9 @@ func BenchmarkBatchVerify(b *testing.B) {
 	})
 	// The sequential leg is the standard library's ed25519.Verify — the
 	// acceptance comparison is against stock one-at-a-time
-	// verification, not against this package's (cofactored, slightly
-	// costlier) single-verify path.
+	// verification. The pure-Go cofactored single check costs ~1.4-1.65x
+	// the standard library's, which is why Ed25519Suite.Verify tries
+	// the standard library first (see BenchmarkSuiteVerify).
 	b.Run("sequential-20", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := range jobs {
@@ -286,4 +362,32 @@ func BenchmarkBatchVerify(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(jobs)), "ns/sig")
 	})
+}
+
+// BenchmarkSuiteVerify measures Ed25519Suite.Verify, the path every
+// signature takes outside a batch of minAlgebraicBatch or more. A valid
+// signature costs one crypto/ed25519 check; an invalid one (S altered
+// but still canonical, so neither check fails early) costs that check
+// plus the cofactored check that decides the rejection.
+func BenchmarkSuiteVerify(b *testing.B) {
+	suite := NewEd25519Suite(8, 1)
+	msg := []byte("benchmark payload")
+	sig := suite.Sign(3, msg)
+	bad := append(Signature(nil), sig...)
+	bad[32] ^= 0x01
+	suite.Verify(3, msg, bad) // warm the parsed-key cache
+	for _, c := range []struct {
+		name string
+		sig  Signature
+		want bool
+	}{{"valid", sig, true}, {"invalid", bad, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if suite.Verify(3, msg, c.sig) != c.want {
+					b.Fatal("wrong verdict")
+				}
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 	"time"
@@ -117,6 +118,50 @@ func TestMACRejectsTamperedData(t *testing.T) {
 				t.Fatalf("tampered data verified")
 			}
 		})
+	}
+}
+
+// TestEd25519MACGolden pins Ed25519Suite's MAC bytes: pairwise keys are
+// derived from the seed on demand, and deployments built from the same
+// seed must keep agreeing on them.
+func TestEd25519MACGolden(t *testing.T) {
+	s := NewEd25519Suite(1030, 42)
+	for _, c := range []struct {
+		from, to NodeID
+		data     string
+		want     string
+	}{
+		{2, 5, "golden mac", "d937557586b5c0128fb460408cddf1f23c8c7a1fe777d70f7b88126855522f7b"},
+		{5, 2, "golden mac", "d937557586b5c0128fb460408cddf1f23c8c7a1fe777d70f7b88126855522f7b"},
+		{1029, 0, "client reply", "23e52b27fb4d42d4ec3c0ad714247d0a049b1d464bb037ca0e1087c9608c1068"},
+		{7, 7, "", "5fd3d41ee008fcb1798ddeaf1ea906a1d0e692107d4ba7648d6d2d7d9ae5a408"},
+	} {
+		mac := s.MAC(c.from, c.to, []byte(c.data))
+		if got := hex.EncodeToString(mac); got != c.want {
+			t.Errorf("MAC(%d, %d, %q) = %s, want %s", c.from, c.to, c.data, got, c.want)
+		}
+		if !s.VerifyMAC(c.to, c.from, []byte(c.data), mac) {
+			t.Errorf("VerifyMAC(%d, %d, %q) rejected the golden MAC", c.to, c.from, c.data)
+		}
+	}
+}
+
+// TestEd25519MACOutsideSuite: ids outside [0, n) have no MAC key, so
+// MAC panics and VerifyMAC rejects.
+func TestEd25519MACOutsideSuite(t *testing.T) {
+	s := NewEd25519Suite(4, 1)
+	for _, ch := range [][2]NodeID{{0, 4}, {4, 0}, {-1, 2}, {2, -1}, {100, 100}} {
+		if s.VerifyMAC(ch[0], ch[1], []byte("x"), make(MAC, 32)) {
+			t.Errorf("VerifyMAC accepted channel %d->%d", ch[0], ch[1])
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MAC on channel %d->%d did not panic", ch[0], ch[1])
+				}
+			}()
+			s.MAC(ch[0], ch[1], []byte("x"))
+		}()
 	}
 }
 

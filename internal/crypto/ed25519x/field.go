@@ -22,6 +22,15 @@
 // small-order components, which cofactorless verifiers may reject while
 // the cofactored equation accepts. All replicas in a deployment run the
 // same verifier, so this choice is consensus-safe.
+//
+// The difference runs one way only: whatever crypto/ed25519 accepts,
+// Verify accepts too (its accept means R = [S]B - [k]A exactly, with
+// the same k and S < l). A caller may therefore take the standard
+// library's faster accept as final and ask Verify only about its
+// rejections, without changing the acceptance predicate; this is what
+// internal/crypto's Ed25519Suite.Verify does. FuzzVerifyAgreement checks
+// the implication, and TestSmallOrderSignature builds signatures on
+// which the two verifiers differ.
 package ed25519x
 
 import "math/bits"
